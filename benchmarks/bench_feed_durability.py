@@ -8,6 +8,11 @@ restart must finish its replay inside an operational budget
 (``snapshot_every`` bounds the tail a recovery ever pays, so the
 benchmark's full-log replay is the worst case).
 
+The WAL-on arm runs the shipped durability defaults, rolling snapshots
+every 1024 records included, so their cost is part of the measured
+overhead. The recovery arm replays a separate log written with snapshots
+off, so it always replays every post.
+
 Methodology: every timed run executes in a **fresh subprocess**. Timing
 base and WAL paths sequentially inside one interpreter is systematically
 biased — each 100k-mailbox run bloats the heap and slows whichever mode
@@ -119,12 +124,12 @@ def build_world(users: int):
     return graph, subscriptions, posts
 
 
-def build_feed(graph, subscriptions, wal_dir=None):
+def build_feed(graph, subscriptions, wal_dir=None, snapshot_every=1024):
     thresholds = Thresholds(lambda_c=8, lambda_t=120.0, lambda_a=1.0)
     engine = make_multiuser(ALGORITHM, thresholds, graph, subscriptions)
     durability = (
         DurabilityConfig(
-            wal_dir=wal_dir, fsync="interval", snapshot_every=1_000_000
+            wal_dir=wal_dir, fsync="interval", snapshot_every=snapshot_every
         )
         if wal_dir is not None
         else None
@@ -161,8 +166,13 @@ def _child_main(mode: str, wal_dir: str, users: int) -> None:
         elapsed = time.perf_counter() - start
         records = report.records_total
     else:
+        # "wal" runs the shipped snapshot cadence; "log" keeps snapshots
+        # off so the recovery arm replays the whole log.
         feed = build_feed(
-            graph, subscriptions, wal_dir if mode == "wal" else None
+            graph,
+            subscriptions,
+            None if mode == "base" else wal_dir,
+            snapshot_every=1_000_000 if mode == "log" else 1024,
         )
         gc.collect()
         gc.disable()
@@ -200,7 +210,6 @@ def _run(users: int):
     wal_root = Path(tempfile.mkdtemp(prefix="bench-wal-"))
     try:
         base_time = wal_time = float("inf")
-        survivor = None
         digests = set()
         for round_index in range(ROUNDS):
             reply = _spawn("base", wal_root / "unused", users)
@@ -210,16 +219,18 @@ def _run(users: int):
             wal_dir = wal_root / f"round-{round_index}"
             reply = _spawn("wal", wal_dir, users)
             digests.add(reply["digest"])
-            if reply["elapsed"] < wal_time:
-                wal_time = reply["elapsed"]
-                survivor = wal_dir
+            wal_time = min(wal_time, reply["elapsed"])
         assert len(digests) == 1, (
             f"base/WAL runs disagree on final mailbox state: {digests}"
         )
 
-        # The WAL-on children crashed by construction (no close, no
-        # flush): recovery gets the fastest round's log alone.
-        reply = _spawn("recover", survivor, users)
+        # Recovery replays a full log: one more WAL-on child with
+        # snapshots off, crashed by construction (no close, no flush).
+        full_log = wal_root / "full-log"
+        reply = _spawn("log", full_log, users)
+        digests.add(reply["digest"])
+        assert len(digests) == 1, "the snapshot-free run diverged"
+        reply = _spawn("recover", full_log, users)
         assert reply["digest"] in digests, (
             "recovered mailbox state diverged from the live runs"
         )

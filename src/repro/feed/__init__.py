@@ -3,9 +3,9 @@
 The paper's engines decide *who receives which post*; this package turns
 that decision into a servable product surface. The write path runs every
 arriving post through a multi-user diversification engine and fans the
-receiver set out into bounded per-user :class:`Mailbox` rings; the read
-path serves stable cursor pages from those mailboxes, filtered by
-per-user impression state. :class:`FeedServer` exposes both over the same
+receiver set out into bounded per-user mailboxes of a columnar
+:class:`MailboxStore`; the read path serves stable cursor pages from
+those mailboxes, filtered by per-user impression state. :class:`FeedServer` exposes both over the same
 threaded HTTP endpoint that already serves metrics and health.
 
 With a :class:`DurabilityConfig` the deployment is crash-safe: every
@@ -35,7 +35,7 @@ from .durable import (
     RecoveryReport,
     SnapshotStore,
 )
-from .mailbox import FeedEntry, FeedPage, Mailbox, MailboxConfig, MailboxStore
+from .mailbox import FeedEntry, FeedPage, MailboxConfig, MailboxStore
 from .service import FeedService
 from .http import FeedServer
 from .wal import WriteAheadLog
@@ -47,7 +47,6 @@ __all__ = [
     "FeedPage",
     "FeedServer",
     "FeedService",
-    "Mailbox",
     "MailboxConfig",
     "MailboxStore",
     "RecoveryReport",

@@ -20,10 +20,14 @@ the client was never acked and retries (idempotently).
 and the complete feed state — mailbox store, engine checkpoint
 (:func:`~repro.resilience.snapshot_engine`), dedup window, every
 counter — is written through the same atomic CRC-framed path the
-supervisor's checkpoints use (:mod:`repro.storage.framing`). Old
-snapshots and the WAL segments they obsolete are pruned
-(``keep_snapshots`` deep), so disk use is bounded by snapshot size plus
-one snapshot interval of WAL.
+supervisor's checkpoints use (:mod:`repro.storage.framing`). The mailbox
+store goes in as flat numpy arrays in CSR order
+(:meth:`~repro.feed.mailbox.MailboxStore.snapshot_arrays`), so neither
+capture nor load builds a Python object per entry. Old snapshots and the
+WAL segments they obsolete are pruned (``keep_snapshots`` deep), so disk
+use is bounded by snapshot size plus one snapshot interval of WAL; each
+snapshot's WAL floor is part of its file name, so pruning reads no
+snapshot.
 
 **Recovery** (:meth:`DurableFeedLog.recover`). Load the newest snapshot
 that passes its CRC (a torn or bit-rotted snapshot is *skipped*, falling
@@ -32,9 +36,10 @@ back to the previous one and a longer replay — that is what
 the WAL tail: re-offer each logged post and cross-check the engine
 reproduces the recorded receiver digest and the store assigns the
 recorded sequence number — any mismatch is a determinism violation and fails loud
-rather than serving silently-wrong feeds. A torn final frame (the append
-the crash interrupted) is truncated; torn bytes anywhere *earlier* mean
-damage at rest and raise. While recovery runs the service stays up in
+rather than serving silently-wrong feeds. A snapshot of another layout
+version is refused with a :class:`~repro.errors.CheckpointError`. A torn
+final frame (the append the crash interrupted) is truncated; torn bytes
+anywhere *earlier* mean damage at rest and raise. While recovery runs the service stays up in
 degraded mode: reads serve the restored-so-far state flagged
 ``stale: true`` and ``/healthz`` reports the replay.
 
@@ -43,13 +48,15 @@ degraded mode: reads serve the restored-so-far state flagged
 rebuilds the key → (seq, receivers) window from the re-offered posts)
 and the window itself rides in snapshots, bounded to the
 ``dedup_window`` most recent keys. A client retrying an acked post gets the original
-verdict back without touching the engine; a client retrying an *unacked*
-post (crash before the WAL append) is a genuinely new ingest. Either
-way: one fanout.
+verdict back without touching the engine (a small ``dedup`` WAL record
+keeps the received/deduped counters exact across a crash); a client
+retrying an *unacked* post (crash before the WAL append) is a genuinely
+new ingest. Either way: one fanout.
 """
 
 from __future__ import annotations
 
+import re
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -90,11 +97,15 @@ def receivers_digest(receivers) -> list[int]:
     """
     return [len(receivers), sum(receivers) & _DIGEST_MASK]
 
-#: Bumped on incompatible feed-snapshot layout changes.
-FEED_SNAPSHOT_VERSION = 1
+#: Bumped on incompatible feed-snapshot layout changes (2: the mailbox
+#: store as CSR arrays; no reader for version 1 is kept).
+FEED_SNAPSHOT_VERSION = 2
 
 SNAPSHOT_PREFIX = "snapshot-"
 SNAPSHOT_SUFFIX = ".ckpt"
+#: ``snapshot-<index>-w<WAL floor>.ckpt``; a name without a floor pins
+#: the whole log.
+_SNAPSHOT_NAME = re.compile(r"snapshot-(\d+)(?:-w(\d+))?\.ckpt")
 
 
 @dataclass(frozen=True)
@@ -138,19 +149,26 @@ class DurabilityConfig:
             )
 
 
-def snapshot_path(directory: str | Path, index: int) -> Path:
-    return Path(directory) / f"{SNAPSHOT_PREFIX}{index:06d}{SNAPSHOT_SUFFIX}"
+def snapshot_path(directory: str | Path, index: int, wal_floor: int) -> Path:
+    return Path(directory) / (
+        f"{SNAPSHOT_PREFIX}{index:06d}-w{wal_floor:06d}{SNAPSHOT_SUFFIX}"
+    )
 
 
 def snapshot_file_index(path: str | Path) -> int:
-    name = Path(path).name
-    return int(name[len(SNAPSHOT_PREFIX) : -len(SNAPSHOT_SUFFIX)])
+    return int(_SNAPSHOT_NAME.fullmatch(Path(path).name).group(1))
+
+
+def snapshot_wal_floor(path: str | Path) -> int:
+    """The first WAL segment the snapshot at ``path`` needs, from its name."""
+    return int(_SNAPSHOT_NAME.fullmatch(Path(path).name).group(2) or 1)
 
 
 class SnapshotStore:
     """Rolling, CRC-validated feed snapshots in the WAL directory.
 
-    Files are ``snapshot-NNNNNN.ckpt``, written through
+    Files are ``snapshot-NNNNNN-wWWWWWW.ckpt`` (index, then the first WAL
+    segment the snapshot needs), written through
     :func:`~repro.storage.framing.write_framed` (temp + fsync + rename
     under a length+CRC header) — a crash mid-save leaves the previous
     snapshot intact, and a snapshot damaged at rest fails its CRC on
@@ -168,7 +186,7 @@ class SnapshotStore:
         found = [
             p
             for p in self.directory.glob(f"{SNAPSHOT_PREFIX}*{SNAPSHOT_SUFFIX}")
-            if p.is_file()
+            if p.is_file() and _SNAPSHOT_NAME.fullmatch(p.name)
         ]
         return sorted(found, key=snapshot_file_index)
 
@@ -177,14 +195,17 @@ class SnapshotStore:
         return snapshot_file_index(existing[-1]) + 1 if existing else 1
 
     def save(self, payload: dict) -> Path:
-        """Write ``payload`` as the next snapshot and prune to ``keep``.
+        """Write ``payload`` as the next snapshot, named with its
+        ``wal_segment`` floor, and prune to ``keep``.
 
         Raises ``OSError`` if the write fails (full disk — injected or
         real); the previous snapshots are untouched either way.
         """
         if self.fault_plan is not None:
             self.fault_plan.on_snapshot()
-        path = snapshot_path(self.directory, self.next_index())
+        path = snapshot_path(
+            self.directory, self.next_index(), int(payload["wal_segment"])
+        )
         write_framed(path, payload)
         for old in self.list()[: -self.keep]:
             old.unlink()
@@ -196,7 +217,8 @@ class SnapshotStore:
         Returns ``(payload, path, skipped)`` where ``skipped`` lists
         ``(filename, reason)`` for every newer snapshot that failed its
         CRC or shape check — the fallback trail recovery reports.
-        ``(None, None, skipped)`` when no snapshot is loadable.
+        ``(None, None, skipped)`` when no snapshot is loadable. A sound
+        snapshot of another layout version raises :class:`CheckpointError`.
         """
         skipped: list[tuple[str, str]] = []
         for path in reversed(self.list()):
@@ -205,14 +227,17 @@ class SnapshotStore:
             except CheckpointError as error:
                 skipped.append((path.name, str(error)))
                 continue
-            if (
-                not isinstance(payload, dict)
-                or payload.get("version") != FEED_SNAPSHOT_VERSION
-            ):
+            if not isinstance(payload, dict):
                 skipped.append(
                     (path.name, f"unsupported feed snapshot: {type(payload)}")
                 )
                 continue
+            if payload.get("version") != FEED_SNAPSHOT_VERSION:
+                raise CheckpointError(
+                    f"{path.name} is feed snapshot version "
+                    f"{payload.get('version')!r}; this build reads only version "
+                    f"{FEED_SNAPSHOT_VERSION}"
+                )
             return payload, path, skipped
         return None, None, skipped
 
@@ -315,6 +340,12 @@ class DurableFeedLog:
         self.wal.append({"t": "impressions", "user": user, "seqs": sorted(seqs)})
         self._since_snapshot += 1
 
+    def log_dedup(self, key: str) -> None:
+        """WAL a retry answered from the idempotency window (replay counts
+        it as received and deduped)."""
+        self.wal.append({"t": "dedup", "idem": key})
+        self._since_snapshot += 1
+
     def log_expire(self, now: float) -> None:
         """WAL a window-expiry sweep (prescriptive: replay runs expiry
         exactly where the live run did, no cadence re-derivation)."""
@@ -328,7 +359,7 @@ class DurableFeedLog:
         return {
             "version": FEED_SNAPSHOT_VERSION,
             "wal_segment": self.wal.segment,
-            "mailbox": feed.store.state_dict(),
+            "mailbox": feed.store.snapshot_arrays(),
             "engine": snapshot_engine(feed.service.engine),
             "dedup": [
                 [key, entry["seq"], sorted(entry["receivers"])]
@@ -372,15 +403,11 @@ class DurableFeedLog:
         self.snapshots_taken += 1
         self._since_snapshot = 0
         self.last_snapshot_seconds = time.perf_counter() - start
+        # Every retained snapshot, damaged or not, pins the WAL from the
+        # floor in its name.
         retained = self.snapshots.list()
         if retained:
-            floors = []
-            for snap in retained:
-                try:
-                    floors.append(int(read_framed(snap).get("wal_segment", 1)))
-                except CheckpointError:
-                    floors.append(1)  # unreadable snapshot: prune nothing past it
-            self.wal.prune_segments(min(floors))
+            self.wal.prune_segments(min(map(snapshot_wal_floor, retained)))
         return path
 
     def maybe_snapshot(self, feed) -> Path | None:
@@ -403,7 +430,7 @@ class DurableFeedLog:
             payload, used_path, skipped = self.snapshots.load_best()
             start_segment = 1
             if payload is not None:
-                feed.store.load_state(payload["mailbox"])
+                feed.store.load_arrays(payload["mailbox"])
                 load_engine_state(feed.service.engine, payload["engine"])
                 self._dedup = OrderedDict(
                     (
@@ -501,7 +528,7 @@ class DurableFeedLog:
                     "deterministic against this log (wrong algorithm/graph/"
                     "thresholds?)"
                 )
-            seq, _ = feed.store.fanout(post, sorted(receivers))
+            seq, _ = feed.store.fanout(post, receivers)
             if seq != int(record["seq"]):
                 raise CheckpointError(
                     f"{source}: replaying post {post.post_id} assigned "
@@ -518,6 +545,10 @@ class DurableFeedLog:
             feed.store.record_impressions(
                 int(record["user"]), [int(s) for s in record["seqs"]]
             )
+        elif kind == "dedup":
+            self.dedup_hits += 1
+            feed.posts_received += 1
+            feed.posts_deduped += 1
         elif kind == "expire":
             feed.store.expire(float(record["now"]))
             feed._since_expire = 0

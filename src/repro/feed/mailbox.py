@@ -1,44 +1,38 @@
 """Per-user mailboxes: the materialized feeds behind fanout-on-write.
 
-The diversification engines answer *who should receive this post*; this
-module stores the answer so reads are cheap. Every accepted post is fanned
-out into one bounded :class:`Mailbox` per receiver — a ring of
-:class:`FeedEntry` stubs ordered by a store-global sequence number — and a
-``GET /feed`` read is then a pure mailbox scan: no engine work, no graph
-walk, no re-ranking.
+Every accepted post gets one store-global seq and lands in each
+receiver's mailbox (at most ``capacity`` entries, none older than
+``window`` in stream time), so ``GET /feed`` is a pure mailbox scan. A
+cursor means "entries with seq below N": seqs only grow, so pagination
+is stable under concurrent writes. Impressed entries are skipped.
 
-Bounding is two-dimensional, mirroring the engines' own windows:
-
-* **capacity** — each mailbox keeps at most ``capacity`` entries; the
-  oldest fall off the left (a reader that far behind has lost them, which
-  is the classic feed contract);
-* **window** — entries older than ``window`` in *stream time* expire,
-  exactly like the λt window of the engines, so a mailbox never serves
-  posts the diversifier itself would consider stale.
-
-Pagination is cursor-based and stable: a cursor is "the next page serves
-entries with sequence strictly below N". Sequence numbers are assigned
-once per post at fanout and never reused, so concurrent ingestion only
-*prepends* — a reader paging through their feed sees a consistent
-snapshot no matter how many posts land mid-pagination.
-
-The impression filter is per-user server-side state: clients POST the
-sequence numbers they have rendered, and subsequent pages skip them — a
-refresh never re-serves what the user has already seen.
+The store is columnar, so fanout, eviction, expiry and snapshots are
+numpy operations, not per-delivery Python objects: a post table indexed
+by seq (timestamps plus one shared :class:`FeedEntry` per post), one row
+per materialized mailbox (head, tail, length, eviction counters) and one
+slot per delivery (seq, row, links to the row's older and newer entry,
+seen bit). Dead slots are compacted away once they reach the live count,
+leaving the live ones grouped by row in seq order (CSR).
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from collections.abc import Iterable
 from dataclasses import dataclass
-from itertools import count
 from threading import RLock
+
+import numpy as np
 
 from ..core.post import Post
 from ..errors import ConfigurationError, UnknownUserError
 from ..storage.accounting import estimate_mailbox_bytes
+
+#: Snapshot keys of the per-row columns (the attribute is ``_`` + key).
+_ROW_KEYS = ("user", "len", "box_capacity", "box_expired")
+_ROW_COLUMNS = tuple(f"_{key}" for key in _ROW_KEYS) + ("_head", "_tail")
+_SLOT_COLUMNS = ("_slot_seq", "_slot_row", "_next", "_prev", "_seen")
+_COUNTERS = ("deliveries", "evicted_capacity", "evicted_expired", "impressions")
 
 
 @dataclass(frozen=True, slots=True)
@@ -51,36 +45,23 @@ class FeedEntry:
     timestamp: float
 
     def to_dict(self) -> dict[str, object]:
-        return {
-            "seq": self.seq,
-            "post_id": self.post_id,
-            "author": self.author,
-            "timestamp": self.timestamp,
-        }
+        return {name: getattr(self, name) for name in self.__slots__}
 
 
 @dataclass(frozen=True)
 class MailboxConfig:
-    """Bounds for every mailbox in a store.
-
-    Attributes:
-        capacity: max entries per mailbox (oldest evicted past it).
-        window: stream-time seconds an entry stays servable; ``inf``
-            disables expiry (capacity still bounds memory).
-    """
+    """Bounds for every mailbox in a store: at most ``capacity`` entries
+    (oldest evicted past it), each servable for ``window`` stream-time
+    seconds (``inf`` disables expiry; capacity still bounds memory)."""
 
     capacity: int = 1024
     window: float = math.inf
 
     def __post_init__(self) -> None:
         if self.capacity < 1:
-            raise ConfigurationError(
-                f"mailbox capacity must be >= 1, got {self.capacity}"
-            )
+            raise ConfigurationError(f"mailbox capacity must be >= 1, got {self.capacity}")
         if not self.window > 0:
-            raise ConfigurationError(
-                f"mailbox window must be > 0 (or inf), got {self.window}"
-            )
+            raise ConfigurationError(f"mailbox window must be > 0 (or inf), got {self.window}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -92,129 +73,20 @@ class FeedPage:
     filtered: int
 
     def to_dict(self) -> dict[str, object]:
-        return {
-            "entries": [entry.to_dict() for entry in self.entries],
-            "next_cursor": self.next_cursor,
-            "filtered": self.filtered,
-        }
+        entries = [entry.to_dict() for entry in self.entries]
+        return {"entries": entries, "next_cursor": self.next_cursor, "filtered": self.filtered}
 
 
-class Mailbox:
-    """One user's bounded feed: entries ascending by seq, plus the seen set."""
-
-    __slots__ = ("entries", "seen", "evicted_capacity", "evicted_expired")
-
-    def __init__(self) -> None:
-        self.entries: deque[FeedEntry] = deque()
-        self.seen: set[int] = set()
-        self.evicted_capacity = 0
-        self.evicted_expired = 0
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def append(self, entry: FeedEntry, capacity: int) -> tuple[int, int]:
-        """Deliver ``entry``; returns ``(entries_evicted, seen_pruned)``."""
-        self.entries.append(entry)
-        evicted = pruned = 0
-        while len(self.entries) > capacity:
-            old = self.entries.popleft()
-            evicted += 1
-            if old.seq in self.seen:
-                self.seen.discard(old.seq)
-                pruned += 1
-        self.evicted_capacity += evicted
-        return evicted, pruned
-
-    def expire(self, now: float, window: float) -> tuple[int, int]:
-        """Drop entries older than ``now - window`` (stream time)."""
-        cutoff = now - window
-        evicted = pruned = 0
-        entries = self.entries
-        while entries and entries[0].timestamp < cutoff:
-            old = entries.popleft()
-            evicted += 1
-            if old.seq in self.seen:
-                self.seen.discard(old.seq)
-                pruned += 1
-        self.evicted_expired += evicted
-        return evicted, pruned
-
-    def page(self, cursor: int | None, limit: int) -> FeedPage:
-        """Serve up to ``limit`` unseen entries newest-first below ``cursor``.
-
-        ``next_cursor`` is the seq of the last entry *scanned* (served or
-        filtered); pass it back to continue, ``None`` means exhausted.
-        """
-        served: list[FeedEntry] = []
-        filtered = 0
-        scanned_to: int | None = None
-        exhausted = True
-        for entry in reversed(self.entries):
-            if cursor is not None and entry.seq >= cursor:
-                continue
-            if len(served) >= limit:
-                exhausted = False
-                break
-            scanned_to = entry.seq
-            if entry.seq in self.seen:
-                filtered += 1
-            else:
-                served.append(entry)
-        next_cursor = scanned_to if not exhausted else None
-        return FeedPage(tuple(served), next_cursor, filtered)
-
-    def record_impressions(self, seqs: Iterable[int]) -> tuple[int, int]:
-        """Mark live seqs as seen; returns ``(recorded, ignored)``.
-
-        Seqs not currently in the mailbox (already evicted, or never
-        delivered here) are ignored — the seen set only ever holds live
-        entries, so it is bounded by ``capacity`` too.
-        """
-        live = {entry.seq for entry in self.entries}
-        recorded = ignored = 0
-        for seq in seqs:
-            if seq in live and seq not in self.seen:
-                self.seen.add(seq)
-                recorded += 1
-            elif seq not in live:
-                ignored += 1
-        return recorded, ignored
-
-    def state_dict(self) -> dict[str, object]:
-        """JSON-able snapshot of this mailbox (entries in seq order)."""
-        return {
-            "entries": [
-                [e.seq, e.post_id, e.author, e.timestamp] for e in self.entries
-            ],
-            "seen": sorted(self.seen),
-            "evicted_capacity": self.evicted_capacity,
-            "evicted_expired": self.evicted_expired,
-        }
-
-    @classmethod
-    def from_state(cls, state: dict[str, object]) -> "Mailbox":
-        box = cls()
-        for seq, post_id, author, timestamp in state["entries"]:
-            box.entries.append(
-                FeedEntry(int(seq), int(post_id), int(author), float(timestamp))
-            )
-        box.seen = {int(s) for s in state["seen"]}
-        box.evicted_capacity = int(state.get("evicted_capacity", 0))
-        box.evicted_expired = int(state.get("evicted_expired", 0))
-        return box
+def _column(values, size: int, dtype=np.int64) -> np.ndarray:
+    out = np.empty(size, dtype)
+    out[: len(values)] = values
+    return out
 
 
 class MailboxStore:
-    """All mailboxes of a feed deployment, behind one lock.
-
-    Mailboxes materialize lazily on first delivery or read — a store over
-    10⁵ subscribers costs only its user set until posts start flowing.
-    Entry/seen/box counts are tracked incrementally so
-    :meth:`approx_bytes` (the governor's ``mailbox`` family) is O(1).
-
-    Thread-safe: the HTTP front end serves reads from the
-    ``ThreadingHTTPServer`` pool while the write path fans out.
+    """All mailboxes of a deployment, behind one reentrant lock. A mailbox
+    materializes on its first delivery (reading or impressing an empty feed
+    changes nothing); counts are incremental, so :meth:`approx_bytes` is O(1).
     """
 
     def __init__(self, users: Iterable[int], config: MailboxConfig | None = None):
@@ -222,15 +94,17 @@ class MailboxStore:
         self._users = frozenset(users)
         if not self._users:
             raise ConfigurationError("a MailboxStore needs at least one user")
-        self._boxes: dict[int, Mailbox] = {}
+        self._ids = np.array(sorted(self._users), dtype=np.int64)
+        # Ids spanning <= 4x their count: an offset table beats searchsorted.
+        span, self._dense = int(self._ids[-1] - self._ids[0]) + 1, None
+        if span <= 4 * len(self._ids):
+            self._dense = np.full(span, -1, np.int64)
+            self._dense[self._ids - self._ids[0]] = np.arange(len(self._ids))
+        self._row_of = np.full(len(self._ids), -1, np.int64)  # position -> row
+        self.mailbox_count = 0  # materialized rows
+        self._user = np.empty(0, np.int64)
         self._lock = RLock()
-        self._seq = count(1)
-        self._entries = 0
-        self._seen = 0
-        self.deliveries = 0
-        self.evicted_capacity = 0
-        self.evicted_expired = 0
-        self.impressions = 0
+        self.load_arrays({})
 
     @property
     def users(self) -> frozenset[int]:
@@ -239,153 +113,276 @@ class MailboxStore:
     def __contains__(self, user: int) -> bool:
         return user in self._users
 
-    def _box(self, user: int) -> Mailbox:
+    def _positions(self, users: np.ndarray) -> np.ndarray:
+        """Each user's index in the sorted ids; unknown users raise first."""
+        if self._dense is not None:  # a gap maps to -1, whose id differs too
+            offset = np.maximum(users - self._ids[0], 0)
+            pos = self._dense[np.minimum(offset, len(self._dense) - 1)]
+        else:
+            pos = np.minimum(np.searchsorted(self._ids, users), len(self._ids) - 1)
+        unknown = self._ids[pos] != users
+        if unknown.any():
+            user = int(users[unknown.argmax()])
+            raise UnknownUserError(f"user {user} has no mailbox (not subscribed)")
+        return pos
+
+    def _row(self, user: int) -> int:
+        """``user``'s row, or -1 while their mailbox is unmaterialized."""
         if user not in self._users:
             raise UnknownUserError(f"user {user} has no mailbox (not subscribed)")
-        box = self._boxes.get(user)
-        if box is None:
-            box = self._boxes[user] = Mailbox()
-        return box
+        return int(self._row_of[self._ids.searchsorted(user)])
+
+    def _reserve(self, columns, size: int) -> None:
+        if size > len(getattr(self, columns[0])):
+            for name in columns:
+                array = getattr(self, name)
+                setattr(self, name, _column(array, 2 * size, array.dtype))
+
+    def _pop(self, rows: np.ndarray) -> None:
+        """Unlink the oldest entry of each (distinct, non-empty) row."""
+        old = self._head[rows]
+        nxt = self._next[old]
+        self._head[rows] = nxt
+        self._prev[nxt[nxt >= 0]] = -1
+        self._tail[rows[nxt < 0]] = -1
+        self._len[rows] -= 1
+        self._slot_row[old] = -1
+        self._dead += len(old)
+        self.total_entries -= len(old)
+        self.total_seen -= int(np.count_nonzero(self._seen[old]))
+        # Compact once dead slots reach the live ones (or the row count,
+        # so a compaction, O(live + rows), stays amortized O(1) per pop).
+        if self._dead and self._dead >= max(self.total_entries, self.mailbox_count):
+            self.load_arrays(self.snapshot_arrays())
+
+    # -- write path --------------------------------------------------------
 
     def peek_next_seq(self) -> int:
-        """The sequence number the next :meth:`fanout` will assign (the
-        WAL records it *before* the fanout applies)."""
+        """The seq the next :meth:`fanout` assigns (WAL'd before it applies)."""
         with self._lock:
-            nxt = next(self._seq)
-            self._seq = count(nxt)  # peeking consumed one; re-arm
-            return nxt
+            return self._next_seq
 
     def fanout(self, post: Post, receivers: Iterable[int]) -> tuple[int, int]:
-        """Deliver ``post`` to every receiver mailbox under one sequence
-        number; returns ``(seq, deliveries)``."""
+        """Deliver ``post`` under one new seq to each distinct receiver;
+        returns ``(seq, deliveries)``."""
+        users = np.fromiter(receivers, np.int64)
+        users = np.sort(users) if isinstance(receivers, (set, frozenset)) else np.unique(users)
         with self._lock:
-            seq = next(self._seq)
-            entry = FeedEntry(seq, post.post_id, post.author, post.timestamp)
-            capacity = self.config.capacity
-            delivered = 0
-            for user in receivers:
-                evicted, pruned = self._box(user).append(entry, capacity)
-                delivered += 1
-                self._entries += 1 - evicted
-                self._seen -= pruned
-                self.evicted_capacity += evicted
-            self.deliveries += delivered
-            return seq, delivered
+            pos = self._positions(users)
+            rows, k = self._row_of[pos], len(users)
+            fresh = rows < 0
+            if fresh.any():  # first deliveries materialize rows
+                new = np.arange(self.mailbox_count, self.mailbox_count + fresh.sum())
+                self._reserve(_ROW_COLUMNS, new[-1] + 1)
+                self._user[new] = self._ids[pos[fresh]]
+                self._head[new] = self._tail[new] = -1
+                self._len[new] = self._box_capacity[new] = self._box_expired[new] = 0
+                self._row_of[pos[fresh]] = rows[fresh] = new
+                self.mailbox_count += len(new)
+            seq, start = self._next_seq, self._used
+            self._next_seq += 1
+            self._reserve(("_timestamp",), seq - self._base + 1)
+            self._timestamp[seq - self._base] = post.timestamp
+            self._stubs.append(FeedEntry(seq, post.post_id, post.author, post.timestamp))
+            self._reserve(_SLOT_COLUMNS, start + k)
+            self._used += k
+            tail, new = self._tail[rows], slice(start, start + k)
+            self._slot_seq[new], self._slot_row[new] = seq, rows
+            self._seen[new], self._next[new], self._prev[new] = False, -1, tail
+            slots, linked = np.arange(start, start + k), tail >= 0
+            self._next[tail[linked]] = slots[linked]
+            self._head[rows[~linked]] = slots[~linked]
+            self._tail[rows] = slots
+            lengths = self._len[rows] + 1
+            self._len[rows] = lengths
+            self.total_entries += k
+            self.deliveries += k
+            full = rows[lengths > self.config.capacity]
+            if len(full):
+                self._box_capacity[full] += 1
+                self.evicted_capacity += len(full)
+                self._pop(full)
+            return seq, k
 
     def expire(self, now: float) -> int:
-        """Expire window-stale entries across all materialized mailboxes
-        (stream time ``now``); returns how many were dropped."""
+        """Drop each mailbox's prefix of entries older than ``now -
+        window`` (stream time); returns how many were dropped."""
         if math.isinf(self.config.window):
             return 0
         with self._lock:
+            cutoff = now - self.config.window
+            rows = np.flatnonzero(self._len[: self.mailbox_count] > 0)
             dropped = 0
-            for box in self._boxes.values():
-                evicted, pruned = box.expire(now, self.config.window)
-                dropped += evicted
-                self._entries -= evicted
-                self._seen -= pruned
+            while len(rows):
+                oldest = self._slot_seq[self._head[rows]] - self._base
+                rows = rows[self._timestamp[oldest] < cutoff]
+                self._box_expired[rows] += 1
+                dropped += len(rows)
+                self._pop(rows)  # may compact: row ids stay, slots move
+                rows = rows[self._len[rows] > 0]
             self.evicted_expired += dropped
             return dropped
 
+    # -- read path ---------------------------------------------------------
+
+    def _newest(self, user: int):
+        """``user``'s newest slot (-1 if none) and memoryviews of links and
+        seqs: walking them yields Python ints, far cheaper than numpy's."""
+        row = self._row(user)
+        slot = int(self._tail[row]) if row >= 0 else -1
+        return slot, memoryview(self._prev), memoryview(self._slot_seq)
+
     def read(self, user: int, cursor: int | None, limit: int) -> FeedPage:
-        """One page of ``user``'s feed (see :meth:`Mailbox.page`)."""
+        """Up to ``limit`` unseen entries of ``user``'s feed, newest first,
+        below ``cursor``. ``next_cursor`` is the last seq *scanned* (served
+        or filtered): pass it back to continue; ``None`` means exhausted."""
         if limit < 1:
             raise ConfigurationError(f"limit must be >= 1, got {limit}")
         if cursor is not None and cursor < 1:
             raise ConfigurationError(f"cursor must be >= 1, got {cursor}")
         with self._lock:
-            return self._box(user).page(cursor, limit)
+            slot, prev, seqs = self._newest(user)
+            while cursor is not None and slot >= 0 and seqs[slot] >= cursor:
+                slot = prev[slot]
+            seen, served, filtered, scanned_to = memoryview(self._seen), [], 0, None
+            while slot >= 0:
+                if len(served) >= limit:
+                    return FeedPage(tuple(served), scanned_to, filtered)
+                scanned_to = seqs[slot]
+                if seen[slot]:
+                    filtered += 1
+                else:
+                    served.append(self._stubs[scanned_to - self._base])
+                slot = prev[slot]
+            return FeedPage(tuple(served), None, filtered)
 
     def read_all(self, user: int, *, page_size: int = 64) -> list[FeedEntry]:
         """Page through ``user``'s whole feed (test/differential helper)."""
-        entries: list[FeedEntry] = []
-        cursor: int | None = None
+        entries, page = [], self.read(user, None, page_size)
         while True:
-            page = self.read(user, cursor, page_size)
             entries.extend(page.entries)
             if page.next_cursor is None:
                 return entries
-            cursor = page.next_cursor
+            page = self.read(user, page.next_cursor, page_size)
 
     def record_impressions(self, user: int, seqs: Iterable[int]) -> tuple[int, int]:
-        """Mark ``seqs`` seen for ``user``; returns ``(recorded, ignored)``."""
+        """Mark ``seqs`` seen for ``user``; returns ``(recorded, ignored)``.
+        Seqs not live in the mailbox (evicted, never delivered) are ignored."""
+        seqs = list(seqs)
         with self._lock:
-            recorded, ignored = self._box(user).record_impressions(seqs)
-            self._seen += recorded
+            slot, prev, live_seqs = self._newest(user)
+            low = min(seqs, default=math.inf)
+            live: dict[int, int] = {}  # seq -> slot, newest down to min(seqs)
+            while slot >= 0 and live_seqs[slot] >= low:
+                live[live_seqs[slot]] = slot
+                slot = prev[slot]
+            recorded = ignored = 0
+            for seq in seqs:
+                slot = live.get(seq, -1)
+                if slot < 0:
+                    ignored += 1
+                elif not self._seen[slot]:
+                    self._seen[slot] = True
+                    recorded += 1
+            self.total_seen += recorded
             self.impressions += recorded
             return recorded, ignored
 
     # -- accounting --------------------------------------------------------
 
     @property
-    def mailbox_count(self) -> int:
-        """Materialized (non-lazy) mailboxes."""
-        return len(self._boxes)
-
-    @property
-    def total_entries(self) -> int:
-        """Live entries across all mailboxes (total feed depth)."""
-        return self._entries
-
-    @property
-    def total_seen(self) -> int:
-        """Live impression records across all mailboxes."""
-        return self._seen
+    def post_rows(self) -> int:
+        """Post-table rows: every seq from the table's trimmed front on."""
+        return len(self._stubs)
 
     def approx_bytes(self) -> int:
         """Accounted bytes for the governor's ``mailbox`` family."""
-        return estimate_mailbox_bytes(len(self._boxes), self._entries, self._seen)
+        counts = (self.mailbox_count, self.total_entries, self.total_seen)
+        return estimate_mailbox_bytes(*counts, self.post_rows)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the row, slot and timestamp arrays (not the user index
+        or the entry stubs)."""
+        columns = _ROW_COLUMNS + _SLOT_COLUMNS + ("_timestamp",)
+        return sum(getattr(self, name).nbytes for name in columns)
 
     def depth_of(self, user: int) -> int:
         with self._lock:
-            box = self._boxes.get(user)
-            return len(box) if box is not None else 0
+            row = self._row(user) if user in self._users else -1
+            return int(self._len[row]) if row >= 0 else 0
 
     # -- persistence -------------------------------------------------------
 
-    def state_dict(self) -> dict[str, object]:
-        """JSON-able snapshot of the whole store, including the next
-        sequence number — :meth:`load_state` restores it byte-identically
-        (the durability differential harness compares exactly this)."""
+    def snapshot_arrays(self) -> dict[str, object]:
+        """The store as flat arrays in CSR order (a feed snapshot's mailbox
+        section): per row its user, length and eviction counters; seqs and
+        seen flags row after row; the post table from the oldest live seq."""
         with self._lock:
-            next_seq = next(self._seq)
-            self._seq = count(next_seq)  # peeking consumed one; re-arm
+            live = np.flatnonzero(self._slot_row[: self._used] >= 0)
+            # A row's slots are allocated in seq order: sort by (row, slot).
+            order = live[np.argsort(self._slot_row[live] * max(self._used, 1) + live)]
+            seqs, end = self._slot_seq[order], self._next_seq - self._base
+            start = int(seqs.min()) - self._base if len(seqs) else end
+            stubs, n = self._stubs[start:], self.mailbox_count
             return {
-                "next_seq": next_seq,
-                "boxes": {
-                    str(user): box.state_dict()
-                    for user, box in sorted(self._boxes.items())
-                },
-                "deliveries": self.deliveries,
-                "evicted_capacity": self.evicted_capacity,
-                "evicted_expired": self.evicted_expired,
-                "impressions": self.impressions,
+                **{key: getattr(self, f"_{key}")[:n].copy() for key in _ROW_KEYS},
+                **{key: getattr(self, key) for key in _COUNTERS},
+                "seqs": seqs, "seen": self._seen[order], "next_seq": self._next_seq,
+                "post_base": self._base + start,
+                "post_id": np.array([entry.post_id for entry in stubs], np.int64),
+                "author": np.array([entry.author for entry in stubs], np.int64),
+                "timestamp": self._timestamp[start:end].copy(),
             }
 
-    def load_state(self, state: dict[str, object]) -> None:
-        """Replace all mailbox contents with ``state`` (from
-        :meth:`state_dict`). The user set and config are *not* part of the
-        state — they come from the deployment, and a snapshot naming a
-        user outside it is rejected."""
+    def load_arrays(self, state: dict[str, object]) -> None:
+        """Replace all contents with ``state`` (from :meth:`snapshot_arrays`;
+        ``{}`` empties the store); a user outside the deployment raises."""
+        empty = np.empty(0, np.int64)
+        users = np.asarray(state.get("user", empty), np.int64)
+        pos = self._positions(users)
+        n, rows = len(users), np.repeat(np.arange(len(users)), state.get("len", empty))
+        m, size = len(rows), 2 * len(rows)
+        first, last = np.diff(rows, prepend=-1) != 0, np.diff(rows, append=-1) != 0
         with self._lock:
-            boxes: dict[int, Mailbox] = {}
-            entries = seen = 0
-            for user_key, box_state in state["boxes"].items():
-                user = int(user_key)
-                if user not in self._users:
-                    raise UnknownUserError(
-                        f"snapshot names user {user}, who is not subscribed "
-                        "in this deployment"
-                    )
-                box = Mailbox.from_state(box_state)
-                boxes[user] = box
-                entries += len(box.entries)
-                seen += len(box.seen)
-            self._boxes = boxes
-            self._entries = entries
-            self._seen = seen
-            self._seq = count(int(state["next_seq"]))
-            self.deliveries = int(state.get("deliveries", 0))
-            self.evicted_capacity = int(state.get("evicted_capacity", 0))
-            self.evicted_expired = int(state.get("evicted_expired", 0))
-            self.impressions = int(state.get("impressions", 0))
+            self._row_of[self._positions(self._user[: self.mailbox_count])] = -1
+            self._row_of[pos] = np.arange(n)
+            for key in _ROW_KEYS:
+                setattr(self, f"_{key}", _column(state.get(key, empty), 2 * n))
+            self._head, self._tail = np.full(2 * n, -1), np.full(2 * n, -1)
+            self._head[rows[first]] = np.flatnonzero(first)
+            self._tail[rows[last]] = np.flatnonzero(last)
+            self._slot_seq = _column(state.get("seqs", empty), size)
+            self._slot_row = _column(rows, size)
+            self._seen = _column(state.get("seen", empty), size, bool)
+            self._next = _column(np.where(last, -1, np.arange(1, m + 1)), size)
+            self._prev = _column(np.where(first, -1, np.arange(-1, m - 1)), size)
+            self.mailbox_count, self._used, self._dead = n, m, 0
+            self.total_entries, self.total_seen = m, int(np.count_nonzero(self._seen[:m]))
+            self._base = int(state.get("post_base", 1))
+            self._next_seq = int(state.get("next_seq", 1))
+            times = np.asarray(state.get("timestamp", empty), np.float64)
+            self._timestamp = _column(times, 2 * len(times), np.float64)
+            ids, authors = (np.asarray(state.get(k, empty)).tolist() for k in ("post_id", "author"))
+            seqs = range(self._base, self._next_seq)
+            self._stubs = list(map(FeedEntry, seqs, ids, authors, times.tolist()))
+            for key in _COUNTERS:
+                setattr(self, key, int(state.get(key, 0)))
+
+    def state_dict(self) -> dict[str, object]:
+        """JSON-able view of the store, next seq included: what tests and
+        differential harnesses compare (snapshots use :meth:`snapshot_arrays`)."""
+        with self._lock:
+            arrays = self.snapshot_arrays()
+            stubs = self._stubs[arrays["post_base"] - self._base :]
+        posts = [(e.post_id, e.author, e.timestamp) for e in stubs]
+        seqs, seen = arrays["seqs"].tolist(), arrays["seen"].tolist()
+        boxes, end, base = {}, 0, arrays["post_base"]
+        for user, n, capacity, expired in zip(*(arrays[key].tolist() for key in _ROW_KEYS)):
+            span, end = range(end, end + n), end + n
+            boxes[user] = {"entries": [[seqs[j], *posts[seqs[j] - base]] for j in span],
+                           "seen": [seqs[j] for j in span if seen[j]],
+                           "evicted_capacity": capacity, "evicted_expired": expired}
+        boxes = {str(user): boxes[user] for user in sorted(boxes)}
+        counters = {key: arrays[key] for key in _COUNTERS}
+        return {"next_seq": arrays["next_seq"], "boxes": boxes, **counters}

@@ -180,7 +180,9 @@ class FeedService:
             if durable is not None and idempotency_key is not None:
                 hit = durable.dedup_lookup(idempotency_key)
                 if hit is not None:
+                    durable.log_dedup(idempotency_key)
                     self.posts_deduped += 1
+                    durable.maybe_snapshot(self)
                     return frozenset(hit["receivers"]), True
             now = time.monotonic()
             backlog = self.backlog_delay(now)

@@ -48,29 +48,43 @@ JOURNAL_ENTRY_BASE_BYTES = 96
 #: One float sample in a service reservoir (boxed float + list slot).
 SAMPLE_BYTES = 32
 
-#: Fixed overhead of one materialized per-user mailbox: the object, its
-#: entry deque (one empty block) and its seen-set header.
-MAILBOX_BASE_BYTES = 480
+# The mailbox store is columnar (:mod:`repro.feed.mailbox`): numpy arrays
+# that grow by doubling, so each holds at most twice its used length, and
+# slots are compacted once the dead ones reach max(live entries, rows).
+# So allocated slots stay below 2 * (2 * live + rows): 4 slots per live
+# entry plus 2 per row, the worst case just before a compaction.
 
-#: One slotted ``FeedEntry`` in a mailbox: object header, four slot
-#: pointers, the boxed float timestamp, plus its deque slot.
-MAILBOX_ENTRY_BYTES = 112
+#: One materialized mailbox row: user id, head, tail, length and the two
+#: eviction counters (6 int64) times 2 for growth, plus the 2 dead slots
+#: (33 bytes each) a row may hold before compaction.
+MAILBOX_BASE_BYTES = 162
 
-#: One sequence number in a mailbox's impression (seen) set: the set slot
-#: plus the (usually small) int.
-SEEN_ENTRY_BYTES = 32
+#: One live entry: slot seq, row, next and prev links (4 int64) and the
+#: seen flag (1 byte), 33 bytes a slot, times 4 slots at worst.
+MAILBOX_ENTRY_BYTES = 132
+
+#: The seen flag lives in the entry's slot and is charged there.
+SEEN_ENTRY_BYTES = 0
+
+#: One post-table row: its timestamp (float64, times 2 for growth, 16) and
+#: the shared ``FeedEntry`` reads return (64-byte slotted object, boxed
+#: seq and post_id ints and timestamp float, list slot: 152).
+MAILBOX_POST_BYTES = 168
 
 
-def estimate_mailbox_bytes(mailboxes: int, entries: int, seen: int) -> int:
+def estimate_mailbox_bytes(
+    mailboxes: int, entries: int, seen: int, posts: int = 0
+) -> int:
     """Accounted bytes of a fanout mailbox store: ``mailboxes``
     materialized boxes holding ``entries`` feed entries and ``seen``
-    recorded impressions. The store tracks all three counts
-    incrementally, so the governor's ``mailbox`` family costs O(1) per
-    tick regardless of subscriber count."""
+    recorded impressions, over a post table of ``posts`` rows. The store
+    tracks all four counts incrementally, so the governor's ``mailbox``
+    family costs O(1) per tick regardless of subscriber count."""
     return (
         mailboxes * MAILBOX_BASE_BYTES
         + entries * MAILBOX_ENTRY_BYTES
         + seen * SEEN_ENTRY_BYTES
+        + posts * MAILBOX_POST_BYTES
     )
 
 

@@ -129,6 +129,45 @@ class TestCursorStabilityAcrossRestart:
         assert [entry.seq for entry in recovered.store.read_all(USER)] == expected
 
 
+class TestCountersAcrossRestart:
+    def test_reading_empty_feeds_changes_no_mailbox_stats(
+        self, graph, subscriptions, tmp_path
+    ):
+        live = build_feed(graph, subscriptions, tmp_path)
+        for post in make_posts(3):
+            live.ingest(post)
+        empty = [u for u in sorted(live.store.users) if not live.store.depth_of(u)]
+        assert empty
+        for user in empty:
+            assert live.read(user).entries == ()
+        before = live.stats()["mailboxes"]
+
+        recovered = build_feed(graph, subscriptions, tmp_path)
+        recovered.recover(snapshot_after=False)
+        assert recovered.stats()["mailboxes"] == before
+
+    def test_answered_retry_after_the_last_snapshot_survives_a_crash(
+        self, graph, subscriptions, tmp_path
+    ):
+        live = build_feed(graph, subscriptions, tmp_path)
+        posts = make_posts(20)
+        for i, post in enumerate(posts):
+            live.ingest(post, idempotency_key=f"k{i}")
+        live.flush()  # the last snapshot, before the retries
+        for i in (3, 7, 7):
+            receivers, deduped = live.ingest_detailed(
+                posts[i], idempotency_key=f"k{i}"
+            )
+            assert deduped
+        before = live.stats()["posts"]
+        assert before["deduped"] == 3
+
+        recovered = build_feed(graph, subscriptions, tmp_path)
+        recovered.recover(snapshot_after=False)
+        assert recovered.stats()["posts"] == before
+        assert recovered.durable.dedup_hits == live.durable.dedup_hits
+
+
 class TestStaleDegradedReads:
     def test_reads_are_stale_and_health_degraded_during_replay(
         self, graph, subscriptions, tmp_path, monkeypatch

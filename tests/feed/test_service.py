@@ -65,8 +65,8 @@ class TestWritePath:
         # stream time < 2s), never serves the deep past: everything left
         # is within window + one cadence of slack.
         slack = 30.0 + 16 * 2.0
-        for box in feed.store._boxes.values():
-            for entry in box.entries:
+        for user in feed.store.users:
+            for entry in feed.store.read_all(user):
                 assert entry.timestamp >= newest - slack
 
 
